@@ -41,6 +41,48 @@ func BenchmarkEventListChurnTyped(b *testing.B) {
 	}
 }
 
+// BenchmarkEventListLanes replays the push mix of a full-load NDP
+// permutation (128-host FatTree): about 900 standing events; per step one
+// push of +51.2 ns (header-only serialization, plain), +500 ns (link
+// delivery, keyed from ~700 emitting ports) or +7.2 us (9 KB
+// serialization, plain), plus a 3% tail of random delays — the delays
+// that dominate real runs recur and ride delay lanes, the tail takes the
+// heap. Must report 0 allocs/op: lane rings are grown during warm-up.
+func BenchmarkEventListLanes(b *testing.B) {
+	const emitters = 700
+	el := NewEventList()
+	r := NewRand(1)
+	h := &nopHandler{}
+	var emitted [emitters]uint64
+	push := func() {
+		switch p := r.Intn(100); {
+		case p < 40:
+			el.ScheduleAfter(51200, h, 1)
+		case p < 75:
+			uid := r.Intn(emitters)
+			emitted[uid]++
+			el.ScheduleKeyed(el.Now()+500*Nanosecond, DeliveryOrd(uint32(uid), emitted[uid]), h, 1)
+		case p < 97:
+			el.ScheduleAfter(7200*Nanosecond, h, 1)
+		default:
+			el.ScheduleAfter(Time(r.Intn(10_000))*Nanosecond, h, 1)
+		}
+	}
+	for i := 0; i < 900; i++ {
+		push()
+	}
+	for i := 0; i < 100_000; i++ {
+		push()
+		el.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		push()
+		el.Step()
+	}
+}
+
 // BenchmarkTimerReset measures the restartable-timer path (every data
 // packet sent by every transport resets an RTO timer).
 func BenchmarkTimerReset(b *testing.B) {

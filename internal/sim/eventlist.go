@@ -1,9 +1,9 @@
 package sim
 
-// EventList is the simulation scheduler: a 4-ary indexed min-heap of
-// timestamped event records. All components of a simulation share one
-// EventList; Run drains it in timestamp order, advancing the virtual clock
-// as it goes.
+// EventList is the simulation scheduler: a set of sorted per-delay FIFO
+// lanes merged through a 4-ary indexed min-heap of timestamped event
+// records. All components of a simulation share one EventList; Run drains
+// it in timestamp order, advancing the virtual clock as it goes.
 //
 // Events with equal timestamps fire in the order they were scheduled
 // (FIFO tie-break via a sequence counter), which keeps simulations
@@ -26,6 +26,21 @@ package sim
 // property that lets the sharded multi-list runner (shards.go) reproduce
 // the single-list engine bit for bit.
 //
+// Delay lanes, because a packet simulation schedules almost everything a
+// handful of fixed delays ahead (serialization of a full or a header-only
+// packet, link propagation): once a delay d recurs, non-cancellable events
+// pushed at now+d go into d's FIFO ring instead of the heap. The clock
+// never runs backwards, so appends keep each ring sorted by (time, ord);
+// only a same-instant keyed tie walks back a few records from the tail.
+// Each non-empty lane keeps exactly one entry — its head — in the heap,
+// tracked through a permanent slot like a cancellable event, so popping a
+// lane event overwrites the heap root with the lane's next head and sifts
+// it down, and the heap stays as small as the number of lanes plus the
+// timers and stray delays. Every container is (time, ord)-sorted, so the
+// firing order is exactly the single-heap order whichever container an
+// event sits in. Cancellable events, delays that do not recur and pushes
+// made while every lane is taken stay on the plain heap path.
+//
 // Layout notes, because this is the innermost loop of every simulation:
 // the heap is split into parallel key/value arrays so that sift comparisons
 // touch only 16-byte (time, seq) keys — the four children examined per
@@ -41,7 +56,17 @@ type EventList struct {
 	slots    []int32 // EventID -> heap index, -1 when the id is free
 	free     []int32 // recycled EventIDs
 	executed uint64
-	halted   bool
+	laned    uint32 // bit i set while delays[i] holds a lane: pushes at other delays skip the table
+
+	// lanes[:nlanes] are the delay lanes opened so far, spare[:nspare]
+	// those whose delay lost its bucket (1-based, like delayBucket.lane);
+	// delays maps a push delay to its lane, or counts its sightings until
+	// it earns one.
+	lanes  [maxLanes]lane
+	nlanes int
+	spare  [maxLanes]int16
+	nspare int
+	delays [1 << delayTableBits]delayBucket
 
 	// allocator is an opaque slot for the resource allocator owned by this
 	// list's scheduling domain (the per-shard packet arena in practice).
@@ -136,11 +161,12 @@ func PFCOrd(uid uint32, seq uint64) uint64 {
 }
 
 // eventVal is the heap payload: what to call and, for cancellable events,
-// which slot tracks the record's position.
+// which slot tracks the record's position. A nil h marks a lane's head
+// marker instead, whose arg is the lane index (see lane).
 type eventVal struct {
 	arg uint64
 	h   Handler
-	id  int32 // slot index for cancellable events, -1 otherwise
+	id  int32 // slot index for cancellable events and lane markers, -1 otherwise
 }
 
 // funcEvent adapts the closure fallback path onto Handler. A func value is
@@ -156,8 +182,16 @@ func NewEventList() *EventList { return &EventList{} }
 // Now returns the current simulated time.
 func (el *EventList) Now() Time { return el.now }
 
-// Len returns the number of pending events.
-func (el *EventList) Len() int { return len(el.keys) }
+// Len returns the number of pending events, lane-resident ones included.
+func (el *EventList) Len() int {
+	n := len(el.keys)
+	for i := range el.lanes[:el.nlanes] {
+		if ln := &el.lanes[i]; ln.n > 0 {
+			n += ln.n - 1 // the lane head is already counted in the heap
+		}
+	}
+	return n
+}
 
 // Executed returns how many events have fired since creation — the
 // event-throughput numerator of the bench harness.
@@ -256,16 +290,20 @@ func (el *EventList) live(id EventID) bool {
 }
 
 // Step runs the earliest pending event and returns true, or returns false if
-// the list is empty or the simulation was halted.
+// the list is empty.
 func (el *EventList) Step() bool {
-	if el.halted || len(el.keys) == 0 {
+	if len(el.keys) == 0 {
 		return false
 	}
 	at := el.keys[0].at
 	v := el.vals[0]
-	el.popMin()
-	if v.id >= 0 {
-		el.freeSlot(EventID(v.id))
+	if v.h == nil {
+		v = el.popLane(&el.lanes[v.arg&(maxLanes-1)])
+	} else {
+		el.popMin()
+		if v.id >= 0 {
+			el.freeSlot(EventID(v.id))
+		}
 	}
 	el.now = at
 	el.executed++
@@ -273,7 +311,7 @@ func (el *EventList) Step() bool {
 	return true
 }
 
-// Run drains the event list until it is empty or Halt is called.
+// Run drains the event list until it is empty.
 func (el *EventList) Run() {
 	for el.Step() {
 	}
@@ -282,7 +320,7 @@ func (el *EventList) Run() {
 // RunUntil processes events with timestamps <= deadline, then sets the clock
 // to the deadline. Events scheduled beyond the deadline remain pending.
 func (el *EventList) RunUntil(deadline Time) {
-	for !el.halted && len(el.keys) > 0 && el.keys[0].at <= deadline {
+	for len(el.keys) > 0 && el.keys[0].at <= deadline {
 		el.Step()
 	}
 	if el.now < deadline {
@@ -295,7 +333,7 @@ func (el *EventList) RunUntil(deadline Time) {
 // which must not advance an idle shard's clock past events another shard
 // may still inject at the window boundary.
 func (el *EventList) RunBefore(limit Time) {
-	for !el.halted && len(el.keys) > 0 && el.keys[0].at < limit {
+	for len(el.keys) > 0 && el.keys[0].at < limit {
 		el.Step()
 	}
 }
@@ -312,16 +350,6 @@ func (el *EventList) AdvanceTo(t Time) {
 	}
 }
 
-// Halt stops Run/RunUntil after the current event returns. Pending events
-// are retained; Resume allows stepping again.
-func (el *EventList) Halt() { el.halted = true }
-
-// Resume clears a previous Halt.
-func (el *EventList) Resume() { el.halted = false }
-
-// Halted reports whether Halt has been called without a matching Resume.
-func (el *EventList) Halted() bool { return el.halted }
-
 // NextAt returns the timestamp of the earliest pending event, or Infinity if
 // none is pending.
 func (el *EventList) NextAt() Time {
@@ -337,12 +365,32 @@ func (el *EventList) push(at Time, v eventVal) {
 	el.pushKeyed(at, ordNormal|el.seq, v)
 }
 
-// pushKeyed clamps and sifts a record in under an explicit ord word.
+// pushKeyed clamps a record and files it under an explicit ord word: into
+// its delay's lane when it has one (or has just earned one), else into the
+// heap.
 func (el *EventList) pushKeyed(at Time, ord uint64, v eventVal) {
+	if v.h == nil {
+		panic("sim: nil Handler") // a nil h marks a lane's head in the heap
+	}
 	if at < el.now {
 		at = el.now
 	}
-	el.keys = append(el.keys, eventKey{at: at, ord: ord}) //simlint:allow hotalloc — heap storage (keys and vals grow in lockstep): amortized doubling, capacity bounded by peak pending events and reused across pops
+	k := eventKey{at: at, ord: ord}
+	if d := at - el.now; v.id < 0 && d <= maxLaneDelay {
+		i := delayIndex(uint32(d))
+		if ord*0x9E3779B97F4A7C15 < laneVoteShare {
+			el.vote(i, uint32(d))
+		}
+		if b := &el.delays[i]; el.laned>>i&1 != 0 && b.delay == uint32(d) {
+			li := int(b.lane - 1)
+			if !el.lanePush(li, k, v) {
+				return
+			}
+			// The lane was empty: its head marker goes into the heap.
+			v = eventVal{arg: uint64(li), id: el.lanes[li].slot}
+		}
+	}
+	el.keys = append(el.keys, k) //simlint:allow hotalloc — heap storage (keys and vals grow in lockstep): amortized doubling, capacity bounded by peak pending events and reused across pops
 	el.vals = append(el.vals, v)
 	i := len(el.keys) - 1
 	if v.id >= 0 {

@@ -106,22 +106,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
-	el := NewEventList()
-	fired := 0
-	el.At(1, func() { fired++; el.Halt() })
-	el.At(2, func() { fired++ })
-	el.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1 (halt should stop the loop)", fired)
-	}
-	el.Resume()
-	el.Run()
-	if fired != 2 {
-		t.Fatalf("fired %d after resume, want 2", fired)
-	}
-}
-
 func TestEventsScheduledDuringRun(t *testing.T) {
 	el := NewEventList()
 	var seq []int

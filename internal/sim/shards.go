@@ -95,39 +95,58 @@ func NewMultiRunner(lists []*EventList, lookahead Time, exchange func()) *MultiR
 		Parallel: runtime.GOMAXPROCS(0) > 1}
 }
 
-// SetLookaheadMatrix installs the per-pair lookahead: L[j][i] is the
-// minimum latency of any interaction shard j can emit toward shard i —
-// the minimum total path delay across the actual cut edges from j to i,
-// Infinity when no path crosses. Off-diagonal entries must be positive
-// and at least the scalar Lookahead; diagonal entries are ignored. The
-// matrix must be the metric closure of the shard quotient graph (L[j][i]
-// <= L[j][k] + L[k][i] for all k), which the topology layer guarantees by
-// computing it as an all-pairs shortest path; windowLimits relies on the
-// triangle inequality to bound multi-hop reaction chains by round trips.
+// SetLookaheadMatrix installs the per-pair lookahead from L, where L[j][i]
+// is the minimum latency of any single interaction shard j can emit toward
+// shard i — the minimum delay over the actual cut edges from j to i,
+// Infinity when none crosses. Off-diagonal entries must be positive and at
+// least the scalar Lookahead; diagonal entries are ignored. The runner
+// installs the metric closure of L (all-pairs shortest paths under
+// Floyd-Warshall, so multi-hop relays j -> k -> i get L[j][k] + L[k][i]
+// when that is shorter): windowLimits relies on the triangle inequality to
+// bound multi-hop reaction chains by round trips. L itself is not
+// modified.
 func (mr *MultiRunner) SetLookaheadMatrix(L [][]Time) {
 	n := len(mr.Lists)
 	if len(L) != n {
 		panic("sim: lookahead matrix must be shards x shards")
 	}
-	react := make([]Time, n)
+	closed := make([][]Time, n)
 	for i := range L {
 		if len(L[i]) != n {
 			panic("sim: lookahead matrix must be shards x shards")
 		}
-		react[i] = Infinity
 		for j, l := range L[i] {
+			if i != j && l < mr.Lookahead {
+				panic("sim: lookahead matrix entry below the scalar lookahead")
+			}
+		}
+		closed[i] = append([]Time(nil), L[i]...)
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i == k || j == i || j == k {
+					continue
+				}
+				if via := satAdd(closed[i][k], closed[k][j]); via < closed[i][j] {
+					closed[i][j] = via
+				}
+			}
+		}
+	}
+	react := make([]Time, n)
+	for i := range closed {
+		react[i] = Infinity
+		for j, l := range closed[i] {
 			if i == j {
 				continue
 			}
-			if l < mr.Lookahead {
-				panic("sim: lookahead matrix entry below the scalar lookahead")
-			}
-			if rt := satAdd(l, L[j][i]); rt < react[i] {
+			if rt := satAdd(l, closed[j][i]); rt < react[i] {
 				react[i] = rt
 			}
 		}
 	}
-	mr.matrix, mr.react = L, react
+	mr.matrix, mr.react = closed, react
 }
 
 // Close stops the persistent shard workers (if any were started). The

@@ -9,10 +9,11 @@ import "testing"
 // regression test for the windowLimits deadline-overflow bug.
 
 // buildPairLookaheads derives a deterministic asymmetric per-pair
-// cut-delay matrix from the seed and metric-closes it with Floyd-Warshall,
-// mirroring what topo.finishShards does over the shard quotient graph.
-// Entries range over 1..4 lookaheads, so pairs are genuinely asymmetric
-// (L[i][j] != L[j][i]) and far pairs allow wider windows than the scalar.
+// cut-delay matrix from the seed, like the per-pair single-edge minima
+// topo.finishShards hands the runner, which metric-closes it. Entries range
+// over 1..4 lookaheads, so pairs are genuinely asymmetric (L[i][j] !=
+// L[j][i]), some direct entries exceed a two-hop relay (the closure
+// matters), and far pairs allow wider windows than the scalar.
 func buildPairLookaheads(seed uint64, shards int) [][]Time {
 	rng := NewRand(seed*0x9e3779b97f4a7c15 + 1)
 	L := make([][]Time, shards)
@@ -21,21 +22,6 @@ func buildPairLookaheads(seed uint64, shards int) [][]Time {
 		for j := range L[i] {
 			if i != j {
 				L[i][j] = Time(1+rng.Intn(4)) * refLookahead
-			}
-		}
-	}
-	for k := 0; k < shards; k++ {
-		for i := 0; i < shards; i++ {
-			if i == k {
-				continue
-			}
-			for j := 0; j < shards; j++ {
-				if j == i || j == k {
-					continue
-				}
-				if via := L[i][k] + L[k][j]; via < L[i][j] {
-					L[i][j] = via
-				}
 			}
 		}
 	}
@@ -124,6 +110,38 @@ func FuzzMultiRunnerMatrix(f *testing.F) {
 		got := runMatrixSharded(seed, s, 100*Microsecond, false, L)
 		compareRefWorlds(t, "fuzz-matrix", ref, got)
 	})
+}
+
+// TestLookaheadMatrixClosure checks that the runner installs the metric
+// closure of the per-pair minima it is given: a relay through a third
+// shard bounds a pair whose direct edge is slower, pairs no path joins
+// stay at Infinity, and the caller's matrix is left as it was.
+func TestLookaheadMatrixClosure(t *testing.T) {
+	const l = refLookahead
+	lists := []*EventList{NewEventList(), NewEventList(), NewEventList(), NewEventList()}
+	mr := NewMultiRunner(lists, l, nil)
+	L := [][]Time{
+		{0, l, 4 * l, Infinity},
+		{l, 0, l, Infinity},
+		{4 * l, 3 * l, 0, Infinity},
+		{Infinity, Infinity, Infinity, 0},
+	}
+	mr.SetLookaheadMatrix(L)
+	if got := mr.matrix[0][2]; got != 2*l {
+		t.Errorf("closed L[0][2] = %v, want the two-hop relay %v", got, 2*l)
+	}
+	if got := mr.matrix[2][1]; got != 3*l {
+		t.Errorf("closed L[2][1] = %v, want the direct edge %v", got, 3*l)
+	}
+	if got := mr.matrix[3][0]; got != Infinity {
+		t.Errorf("closed L[3][0] = %v, want Infinity", got)
+	}
+	if L[0][2] != 4*l {
+		t.Error("SetLookaheadMatrix modified its argument")
+	}
+	if got := mr.react[0]; got != 2*l {
+		t.Errorf("reaction round trip of shard 0 = %v, want %v", got, 2*l)
+	}
 }
 
 // countHandler counts firings; the minimal Handler for livelock probes.

@@ -1,7 +1,8 @@
 // Package sim provides the discrete-event simulation engine that underpins
-// the NDP reproduction: a picosecond-resolution virtual clock, an indexed
-// 4-ary-heap event list with allocation-free typed events, a deterministic
-// pseudo-random number generator, and a conservative parallel runner.
+// the NDP reproduction: a picosecond-resolution virtual clock, an event
+// list of sorted per-delay FIFO lanes merged through an indexed 4-ary heap,
+// with allocation-free typed events, a deterministic pseudo-random number
+// generator, and a conservative parallel runner.
 //
 // Each event list is strictly single-threaded: datacenter packet
 // simulations are dominated by tiny events (a packet finishing

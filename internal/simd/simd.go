@@ -14,6 +14,9 @@
 //	GET  /api/workers          pool, queue and cache introspection
 //	GET  /api/catalog          the named-scenario registry
 //
+// The daemon remembers the latest 1024 finished jobs; an older job's id
+// answers 404. Queued and running jobs are never forgotten.
+//
 // Determinism extends across the API boundary: a job's Metrics are
 // bit-identical to a direct scenario.Run of the same Spec+seed, no matter
 // how many daemon workers run concurrently or whether the answer came
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,6 +51,13 @@ type Config struct {
 	// disables caching.
 	CacheEntries int
 }
+
+// maxFinishedJobs bounds how many finished (done or failed) jobs the
+// daemon remembers: beyond it the oldest finished job is forgotten and its
+// id answers 404. Queued and running jobs are never evicted, so a
+// long-running daemon holds at most this many finished jobs plus its
+// backlog.
+const maxFinishedJobs = 1024
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -76,6 +87,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []*Job // submission order, for listing
+	finished []*Job // retained finished jobs, oldest first
 	nextID   int
 	draining bool
 
@@ -138,6 +150,7 @@ func (s *Server) Submit(req JobRequest) (*Job, int, error) {
 		s.register(job)
 		s.mu.Unlock()
 		job.completeFromCache(m)
+		s.retire(job)
 		return job, http.StatusOK, nil
 	}
 	// Register (assigning the id) before enqueueing: a worker may dequeue
@@ -168,6 +181,22 @@ func (s *Server) register(job *Job) {
 	s.order = append(s.order, job)
 }
 
+// retire records a job that just finished and forgets the oldest finished
+// job once more than maxFinishedJobs are retained.
+func (s *Server) retire(job *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, job)
+	if len(s.finished) <= maxFinishedJobs {
+		return
+	}
+	old := s.finished[0]
+	s.finished = slices.Delete(s.finished, 0, 1)
+	delete(s.jobs, old.ID)
+	i := slices.Index(s.order, old)
+	s.order = slices.Delete(s.order, i, i+1)
+}
+
 // lookup returns a job by id, or nil.
 func (s *Server) lookup(id string) *Job {
 	s.mu.Lock()
@@ -196,6 +225,7 @@ func (s *Server) worker(i int) {
 // the worker.
 func (s *Server) runJob(ws *workerState, job *Job) {
 	job.start()
+	defer s.retire(job)
 	spec := job.Spec.With(scenario.WithProgress(job.observe))
 	m, stats, err := scenario.RunWithStats(spec)
 	if err != nil {

@@ -423,3 +423,65 @@ func TestQueueFull(t *testing.T) {
 		}
 	}
 }
+
+// TestFinishedJobRetention checks the daemon's memory bound: past
+// maxFinishedJobs finished jobs the oldest are forgotten (their ids answer
+// 404) while the newest stay listable, and a job that has not finished is
+// never evicted however many finish after it.
+func TestFinishedJobRetention(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real simulation")
+	}
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// A job that stays queued for the whole test: registered, never handed
+	// to a worker.
+	spec, err := tinyReq().buildSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := newJob(spec)
+	srv.mu.Lock()
+	srv.register(pending)
+	srv.mu.Unlock()
+
+	// One real run fills the cache; every repeat is then born done.
+	first, code := postJob(t, ts.URL, tinyReq())
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit: status %d", code)
+	}
+	followSSE(t, ts.URL, first.ID)
+	const extra = 40
+	var last *Job
+	for i := 0; i < maxFinishedJobs+extra; i++ {
+		job, code, err := srv.Submit(tinyReq())
+		if code != http.StatusOK || err != nil {
+			t.Fatalf("repeat %d: status %d, %v", i, code, err)
+		}
+		last = job
+	}
+
+	srv.mu.Lock()
+	retained, listed, finished := len(srv.jobs), len(srv.order), len(srv.finished)
+	srv.mu.Unlock()
+	if finished != maxFinishedJobs || retained != maxFinishedJobs+1 || listed != retained {
+		t.Fatalf("retained %d jobs (%d listed, %d finished), want %d finished plus the pending one",
+			retained, listed, finished, maxFinishedJobs)
+	}
+	var st Status
+	if code := getJSON(t, ts.URL+"/api/jobs/"+first.ID, &st); code != http.StatusNotFound {
+		t.Errorf("evicted job %s: status %d, want 404", first.ID, code)
+	}
+	for _, id := range []string{pending.ID, last.ID} {
+		if code := getJSON(t, ts.URL+"/api/jobs/"+id, &st); code != http.StatusOK || st.ID != id {
+			t.Errorf("job %s: status %d (id %q), want it retained", id, code, st.ID)
+		}
+	}
+	var jobs []Status
+	getJSON(t, ts.URL+"/api/jobs", &jobs)
+	if len(jobs) != maxFinishedJobs+1 || jobs[0].ID != pending.ID || jobs[len(jobs)-1].ID != last.ID {
+		t.Fatalf("listing has %d jobs, want %d from %s to %s", len(jobs), maxFinishedJobs+1, pending.ID, last.ID)
+	}
+}

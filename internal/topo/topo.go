@@ -328,11 +328,11 @@ func (n *Network) initShards(cfg Config, shards int) {
 // finishShards computes the runner's lookahead once the builder has
 // reported every cross-shard link via noteCrossLink: the scalar minimum
 // (the classic window bound, still the Lookahead() summary) and the
-// per-shard-pair matrix L[i][j] — the minimum total path delay across the
-// actual cut edges from shard i to shard j, the metric closure of the
-// per-pair single-edge minima under Floyd-Warshall. Non-adjacent shard
-// pairs get multi-hop sums (wider windows than the scalar), pairs no path
-// connects stay at Infinity (no constraint at all).
+// per-shard-pair single-edge minima, which the runner closes into the
+// minimum total path delay across the actual cut edges from shard i to
+// shard j. Non-adjacent shard pairs get multi-hop sums (wider windows than
+// the scalar), pairs no path connects stay at Infinity (no constraint at
+// all).
 func (n *Network) finishShards() {
 	n.cmdSeq = make([]uint64, len(n.Hosts))
 	mr, ok := n.runner.(*sim.MultiRunner)
@@ -345,35 +345,7 @@ func (n *Network) finishShards() {
 		n.lookahead = n.cfg.LinkDelay
 	}
 	mr.Lookahead = n.lookahead
-	shards := len(n.els)
-	L := make([][]sim.Time, shards)
-	for i := range L {
-		L[i] = append([]sim.Time(nil), n.crossDelay[i]...)
-	}
-	for k := 0; k < shards; k++ {
-		for i := 0; i < shards; i++ {
-			if i == k {
-				continue
-			}
-			for j := 0; j < shards; j++ {
-				if j == i || j == k {
-					continue
-				}
-				if via := satAddTime(L[i][k], L[k][j]); via < L[i][j] {
-					L[i][j] = via
-				}
-			}
-		}
-	}
-	mr.SetLookaheadMatrix(L)
-}
-
-// satAddTime adds two delays without overflowing past Infinity.
-func satAddTime(a, b sim.Time) sim.Time {
-	if a >= sim.Infinity-b {
-		return sim.Infinity
-	}
-	return a + b
+	mr.SetLookaheadMatrix(n.crossDelay)
 }
 
 // noteCrossLink registers a shard-crossing link's latency for the
