@@ -55,7 +55,9 @@ func main() {
 		cache = -1 // Config: negative disables, 0 means default
 	}
 	srv := simd.New(simd.Config{Workers: *workers, CacheEntries: cache})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	// ReadHeaderTimeout stops a client that never finishes its headers
+	// from holding a connection open forever.
+	httpSrv := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: 10 * time.Second}
 
 	errc := make(chan error, 1)
 	go func() {

@@ -132,8 +132,12 @@ func RunJobs[T any](o Options, jobs []Job[T]) []T {
 }
 
 // capture runs one job, converting a panic into an error so the pool can
-// surface it on the calling goroutine with the job identified.
+// surface it on the calling goroutine with the job identified. The job
+// holds one slot of the process-wide CPU budget while it runs, so sharded
+// simulations only add helper goroutines on CPUs no other job is using.
 func capture[T any](j Job[T], slot *T, failure *error) {
+	sim.ClaimCPU()
+	defer sim.ReleaseCPU()
 	defer func() {
 		if p := recover(); p != nil {
 			*failure = fmt.Errorf("harness: job %q (seed %d) panicked: %v", j.Label, j.Seed, p)

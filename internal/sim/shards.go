@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // This file is the conservative parallel-discrete-event runner behind
@@ -30,6 +30,22 @@ import (
 // empty because peer shards have nothing pending soon, horizons widen
 // automatically — an idle-peer phase costs one barrier per stretch instead
 // of one barrier per lookahead of virtual time.
+//
+// Windows are short (a few hundred nanoseconds of virtual time, tens of
+// events per shard), so the barrier between them has to cost far less
+// than a goroutine handoff through the Go scheduler. The shards are split
+// over r runners, shard i on runner i mod r: the coordinator goroutine
+// (the one calling RunUntil) is runner 0 and runs its shards inline, and
+// each of the r-1 persistent helper goroutines waits for its next window
+// on an atomic generation word. Both sides wait by spinning for a bounded
+// number of checks, yielding the processor now and then, and only then
+// park on a channel, so back-to-back windows never touch the OS scheduler
+// while a stretch with no parallel work costs a helper nothing. Spinning
+// is only worth it with a CPU to spin on, so helpers are borrowed from a
+// process-wide budget of CPU slots (see ClaimCPU) for the length of one
+// RunUntil; with no slot free the runner executes its windows inline. So
+// does a window with work for fewer than two runners, and any window while
+// recent windows averaged too few events to repay the handoff.
 
 // Runner is the engine surface a driver needs: both *EventList (the
 // single-list engine) and *MultiRunner (the sharded one) implement it.
@@ -48,51 +64,82 @@ type Runner interface {
 type MultiRunner struct {
 	// Lists are the per-shard schedulers, index = shard id.
 	Lists []*EventList
-	// Lookahead bounds each window; it must not exceed the minimum
-	// latency of any cross-shard interaction. When a lookahead matrix is
-	// installed (SetLookaheadMatrix) the matrix governs the windows and
-	// this scalar is only a lower-bound summary for callers.
+	// Lookahead is the scalar cross-shard lookahead: a lower bound on the
+	// latency of any cross-shard interaction. NewMultiRunner installs it
+	// as a uniform pair matrix; SetLookaheadMatrix replaces that with
+	// per-pair bounds, which then govern the windows.
 	Lookahead Time
 	// Exchange drains all cross-shard mailboxes into the destination
 	// lists. It runs single-threaded between windows.
 	Exchange func()
-	// Parallel runs each window's shards on separate goroutines. Serial
-	// execution is bit-identical (behavior is fixed by event keys, not by
-	// the execution schedule); parallel is the point of sharding.
-	Parallel bool
 
-	// matrix is the optional per-pair lookahead: matrix[j][i] is the
-	// minimum latency of any interaction emitted by shard j that reaches
-	// shard i (Infinity when nothing j does can ever reach i). nil means
-	// the scalar Lookahead governs every pair.
+	// matrix is the per-pair lookahead: matrix[j][i] is the minimum
+	// latency of any interaction emitted by shard j that reaches shard i
+	// (Infinity when nothing j does can ever reach i).
 	matrix [][]Time
 	// react[i] is the minimum round-trip lookahead out of and back into
 	// shard i: min over j != i of matrix[i][j] + matrix[j][i]. It bounds
-	// how soon a *reaction* to shard i's own emissions can return, the
-	// per-pair generalization of the scalar engine's 2L widening.
+	// how soon a *reaction* to shard i's own emissions can return.
 	react []Time
 
 	// limits is the per-shard window horizon scratch, recomputed each
 	// window by windowLimits.
 	limits []Time
-	// work feeds each persistent shard worker its next window horizon.
-	// Workers are started lazily on the first parallel window and live
-	// until Close, so the steady state spawns no goroutines — PR 4 paid a
-	// goroutine spawn per busy shard per window, which showed up as
-	// allocation and scheduler churn on short windows.
-	work []chan Time
-	wg   sync.WaitGroup
+	// runners is how many goroutines share the shards during the current
+	// RunUntil: the coordinator plus the helpers borrowed for it. Shard i
+	// belongs to runner i mod runners.
+	runners int
+	// busy marks, per runner, whether it owns a shard with events in the
+	// current window.
+	busy []bool
+	// helpers[k-1] is runner k. Helpers start on the first RunUntil that
+	// borrows them and live until Close.
+	helpers []*helper
+	exited  sync.WaitGroup
+	// pending counts the helpers still running the current window; the
+	// last one to finish wakes the coordinator if it parked.
+	pending atomic.Uint64
+	coord   waiter
+
+	// windows counts windows run; parallel those of them that ran shards
+	// on helper goroutines.
+	windows, parallel uint64
+	// load averages the events per window (see runWindow).
+	load uint64
 }
 
-// NewMultiRunner builds a runner over the given shard lists. Parallel
-// defaults to off on a single-CPU process, where per-window goroutine
-// handoff is pure overhead; behavior is identical either way.
+// helper is one persistent runner goroutine's mailbox.
+type helper struct {
+	// gen counts the windows handed to this helper; the coordinator bumps
+	// it after publishing the window's horizons.
+	gen atomic.Uint64
+	// stop, set before a final bump of gen, tells the helper to exit.
+	stop bool
+	w    waiter
+	// The padding keeps two helpers' words off one cache line.
+	_ [64]byte
+}
+
+// NewMultiRunner builds a runner over the given shard lists, with every
+// shard pair bounded by the scalar lookahead until SetLookaheadMatrix
+// installs per-pair bounds. Behavior is fixed by event keys, not by the
+// schedule, so it is identical whether windows run in parallel or inline.
 func NewMultiRunner(lists []*EventList, lookahead Time, exchange func()) *MultiRunner {
 	if lookahead <= 0 {
 		panic("sim: MultiRunner needs positive lookahead")
 	}
-	return &MultiRunner{Lists: lists, Lookahead: lookahead, Exchange: exchange,
-		Parallel: runtime.GOMAXPROCS(0) > 1}
+	mr := &MultiRunner{Lists: lists, Lookahead: lookahead, Exchange: exchange, coord: newWaiter()}
+	uniform := make([][]Time, len(lists))
+	for i := range uniform {
+		uniform[i] = make([]Time, len(lists))
+		for j := range uniform[i] {
+			if i != j {
+				uniform[i][j] = lookahead
+			}
+		}
+	}
+	mr.SetLookaheadMatrix(uniform)
+	return mr
 }
 
 // SetLookaheadMatrix installs the per-pair lookahead from L, where L[j][i]
@@ -149,15 +196,19 @@ func (mr *MultiRunner) SetLookaheadMatrix(L [][]Time) {
 	mr.matrix, mr.react = closed, react
 }
 
-// Close stops the persistent shard workers (if any were started). The
-// runner remains usable afterwards — the next parallel window simply
-// restarts them — so Close is a resource release, not a terminal state.
-// It is safe to call on a runner that never went parallel.
+// Close stops the helper goroutines, parked or spinning, and returns once
+// they have exited. The runner remains usable afterwards — the next
+// RunUntil that borrows CPU slots simply starts new helpers — so Close is
+// a resource release, not a terminal state. It is safe to call on a
+// runner that never went parallel, and more than once.
 func (mr *MultiRunner) Close() {
-	for _, ch := range mr.work {
-		close(ch)
+	for _, h := range mr.helpers {
+		h.stop = true
+		h.gen.Add(1)
+		h.w.notify()
 	}
-	mr.work = nil
+	mr.exited.Wait()
+	mr.helpers = nil
 }
 
 // Now returns the farthest-behind shard clock (all clocks are equal after
@@ -179,6 +230,14 @@ func (mr *MultiRunner) Executed() uint64 {
 		n += el.Executed()
 	}
 	return n
+}
+
+// Windows returns how many windows the runner has run, and how many of
+// them ran shards on helper goroutines. The total depends only on event
+// times and RunUntil deadlines, never on the schedule; the parallel count
+// depends on the CPU budget.
+func (mr *MultiRunner) Windows() (total, parallel uint64) {
+	return mr.windows, mr.parallel
 }
 
 // nextAt returns the earliest pending event time across shards.
@@ -206,9 +265,9 @@ func satAdd(t, d Time) Time {
 //
 //	limit_i = min( min_{j != i}(N_j + L[j][i]),  N_i + R_i )
 //
-// where N_j is shard j's earliest pending event, L[j][i] the pair
-// lookahead from j to i (the scalar Lookahead for every pair when no
-// matrix is installed, making R_i = 2L):
+// where N_j is shard j's earliest pending event and L[j][i] the pair
+// lookahead from j to i (the scalar Lookahead for every pair unless a
+// matrix was installed, making R_i = 2L):
 //   - any message another shard j emits this window comes from an event at
 //     time >= N_j and needs at least L[j][i] to reach i, so it arrives at
 //     >= N_j + L[j][i] >= limit_i;
@@ -226,6 +285,10 @@ func satAdd(t, d Time) Time {
 // min(N)+L window. With a real matrix, distant shard pairs (multi-hop
 // cuts, or no connecting path at all: L = Infinity) stop constraining
 // each other, so non-adjacent shards run far ahead of the global minimum.
+//
+// Progress is guaranteed: the globally-earliest shard's horizon exceeds
+// its own next event (every N_j + L[j][i] term is at least N_i plus a
+// positive lookahead), so every window fires at least one event.
 func (mr *MultiRunner) windowLimits(deadline Time) {
 	if mr.limits == nil {
 		mr.limits = make([]Time, len(mr.Lists))
@@ -235,45 +298,6 @@ func (mr *MultiRunner) windowLimits(deadline Time) {
 	// a deadline at or near Infinity must clamp, not wrap every horizon
 	// to 0 and livelock RunUntil.
 	bound := satAdd(deadline, 1)
-	if mr.matrix != nil {
-		mr.matrixLimits(bound)
-		return
-	}
-	// Scalar fast path: min and second-min of N_j + L give min_{j != i}
-	// in O(shards).
-	min1, min2 := Infinity, Infinity
-	argmin := -1
-	for i, el := range mr.Lists {
-		h := satAdd(el.NextAt(), mr.Lookahead)
-		if h < min1 {
-			min1, min2, argmin = h, min1, i
-		} else if h < min2 {
-			min2 = h
-		}
-	}
-	for i, el := range mr.Lists {
-		peers := min1
-		if i == argmin {
-			peers = min2
-		}
-		limit := satAdd(satAdd(el.NextAt(), mr.Lookahead), mr.Lookahead)
-		if peers < limit {
-			limit = peers
-		}
-		if bound < limit {
-			limit = bound
-		}
-		mr.limits[i] = limit
-	}
-}
-
-// matrixLimits is the per-pair O(shards^2) horizon computation used when a
-// lookahead matrix is installed; see windowLimits for the bound it
-// implements. Progress is guaranteed: the globally-earliest shard's
-// horizon exceeds its own next event (every N_j + L[j][i] term is at
-// least N_i plus a positive lookahead), so every window fires at least
-// one event.
-func (mr *MultiRunner) matrixLimits(bound Time) {
 	for i := range mr.Lists {
 		limit := satAdd(mr.Lists[i].NextAt(), mr.react[i])
 		for j, el := range mr.Lists {
@@ -303,6 +327,7 @@ func (mr *MultiRunner) RunUntil(deadline Time) {
 	if mr.Exchange != nil {
 		mr.Exchange()
 	}
+	defer returnCPUs(mr.borrowHelpers())
 	for {
 		// An empty schedule reports Infinity; treat it as done even when
 		// the deadline itself is Infinity, or the loop never exits.
@@ -320,55 +345,108 @@ func (mr *MultiRunner) RunUntil(deadline Time) {
 	}
 }
 
-// runWindow executes one window: every shard runs its pending events up to
-// its own precomputed horizon.
-func (mr *MultiRunner) runWindow() {
-	// Run single-shard windows inline: worker handoff costs more than it
-	// buys when only one shard is busy.
-	nBusy := 0
-	for i, el := range mr.Lists {
-		if el.NextAt() < mr.limits[i] {
-			nBusy++
+// borrowHelpers sizes this RunUntil's runners: one per shard, capped by
+// the CPU slots the budget can lend on top of the coordinator's own. It
+// starts any helper goroutines that are missing and returns how many
+// slots it borrowed.
+func (mr *MultiRunner) borrowHelpers() int {
+	got := borrowCPUs(min(len(mr.Lists), cpuSlots()) - 1)
+	mr.runners = 1 + got
+	if len(mr.busy) < mr.runners {
+		mr.busy = make([]bool, mr.runners)
+	}
+	for len(mr.helpers) < got {
+		h := &helper{w: newWaiter()}
+		mr.helpers = append(mr.helpers, h)
+		mr.exited.Add(1)
+		go mr.help(len(mr.helpers), h)
+	}
+	return got
+}
+
+// help is runner k's goroutine: it runs its shards once per window handed
+// to it until Close stops it.
+func (mr *MultiRunner) help(k int, h *helper) {
+	defer mr.exited.Done()
+	for gen := uint64(1); ; gen++ {
+		h.w.await(&h.gen, gen)
+		if h.stop {
+			return
+		}
+		mr.runShards(k)
+		if mr.pending.Add(^uint64(0)) == 0 {
+			mr.coord.notify()
 		}
 	}
-	if nBusy == 0 {
-		return
+}
+
+// runShards runs runner k's shards up to their horizons.
+func (mr *MultiRunner) runShards(k int) {
+	for i := k; i < len(mr.Lists); i += mr.runners {
+		mr.Lists[i].RunBefore(mr.limits[i])
 	}
-	if nBusy == 1 || !mr.Parallel {
+}
+
+// parallelEvents is the fewest events per window, on a recent average,
+// that makes handing windows to helpers pay: below it (an incast's lone
+// busy pod, a closed-loop lull) the handoff costs more than splitting the
+// window's events saves, and windows run inline.
+const parallelEvents = 32
+
+// runWindow executes one window: every shard runs its pending events up to
+// its own precomputed horizon, in parallel when runParallel decides it
+// pays and inline on the coordinator otherwise.
+func (mr *MultiRunner) runWindow() {
+	mr.windows++
+	fired := mr.Executed()
+	if !mr.runParallel() {
 		for i, el := range mr.Lists {
 			el.RunBefore(mr.limits[i])
 		}
-		return
 	}
-	if mr.work == nil {
-		mr.startWorkers()
-	}
-	for i, el := range mr.Lists {
-		if el.NextAt() >= mr.limits[i] {
-			continue
-		}
-		mr.wg.Add(1)
-		mr.work[i] <- mr.limits[i]
-	}
-	mr.wg.Wait()
+	// load is eight times a moving average of events per window, with
+	// each window weighing one eighth.
+	mr.load = mr.load - mr.load/8 + mr.Executed() - fired
 }
 
-// startWorkers spawns one persistent goroutine per shard, parked on a
-// channel between windows. The WaitGroup barrier at the end of each window
-// publishes every shard's writes to the coordinator (and, through the next
-// window's sends, to every other worker), which is the happens-before edge
-// the single-writer mailboxes rely on.
-func (mr *MultiRunner) startWorkers() {
-	mr.work = make([]chan Time, len(mr.Lists))
-	for i := range mr.Lists {
-		ch := make(chan Time, 1)
-		mr.work[i] = ch
-		el := mr.Lists[i]
-		go func() {
-			for limit := range ch {
-				el.RunBefore(limit)
-				mr.wg.Done()
-			}
-		}()
+// runParallel runs the window on the runners and reports true, or reports
+// false without running anything when the window is not worth the
+// handoff: recent windows were small, or fewer than two runners own
+// shards with work in this one.
+//
+// The atomic handoff is the happens-before edge the single-writer
+// mailboxes rely on: the coordinator's writes (horizons, exchanged
+// events) precede its bump of a helper's gen, which precedes everything
+// the helper then does, and the helper's shard writes precede its
+// decrement of pending, which precedes the coordinator's next exchange.
+func (mr *MultiRunner) runParallel() bool {
+	if mr.runners < 2 || mr.load < 8*parallelEvents {
+		return false
 	}
+	clear(mr.busy[:mr.runners])
+	nBusy := 0
+	for i, el := range mr.Lists {
+		if el.NextAt() < mr.limits[i] && !mr.busy[i%mr.runners] {
+			mr.busy[i%mr.runners] = true
+			nBusy++
+		}
+	}
+	if nBusy < 2 {
+		return false
+	}
+	mr.parallel++
+	helpers := uint64(nBusy)
+	if mr.busy[0] {
+		helpers--
+	}
+	mr.pending.Store(helpers)
+	for k, h := range mr.helpers[:mr.runners-1] {
+		if mr.busy[k+1] {
+			h.gen.Add(1)
+			h.w.notify()
+		}
+	}
+	mr.runShards(0)
+	mr.coord.await(&mr.pending, 0)
+	return true
 }

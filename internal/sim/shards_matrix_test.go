@@ -74,7 +74,9 @@ func runMatrixSharded(seed uint64, shards int, until Time, serial bool, L [][]Ti
 		}
 	})
 	mr.SetLookaheadMatrix(L)
-	mr.Parallel = !serial
+	if serial {
+		defer returnCPUs(borrowCPUs(cpuSlots()))
+	}
 	seedStimuli(w)
 	mr.RunUntil(until)
 	mr.Close()
@@ -168,7 +170,6 @@ func TestRunUntilInfinityDeadline(t *testing.T) {
 					{2 * refLookahead, 0},
 				})
 			}
-			mr.Parallel = false
 			mr.RunUntil(deadline)
 			if c0.n != 1 || c1.n != 1 {
 				t.Fatalf("deadline=%v matrix=%v: fired %d/%d events, want 1/1",

@@ -135,8 +135,21 @@ func runRefSingle(seed uint64, shards int, until Time) *refWorld {
 
 // runRefSharded executes the workload across shard lists under the
 // windowed runner, with test-local mailboxes standing in for the fabric's
-// cross-shard boxes.
+// cross-shard boxes. A serial run holds the whole CPU budget, so every
+// window runs inline.
 func runRefSharded(seed uint64, shards int, until Time, serial bool) *refWorld {
+	w, mr := newRefSharded(seed, shards)
+	if serial {
+		defer returnCPUs(borrowCPUs(cpuSlots()))
+	}
+	mr.RunUntil(until)
+	mr.Close()
+	return w
+}
+
+// newRefSharded builds the sharded workload with its stimuli scheduled and
+// returns it with the runner that drives it.
+func newRefSharded(seed uint64, shards int) (*refWorld, *MultiRunner) {
 	lists := make([]*EventList, shards)
 	for i := range lists {
 		lists[i] = NewEventList()
@@ -165,11 +178,8 @@ func runRefSharded(seed uint64, shards int, until Time, serial bool) *refWorld {
 			boxes[i] = boxes[i][:0]
 		}
 	})
-	mr.Parallel = !serial
 	seedStimuli(w)
-	mr.RunUntil(until)
-	mr.Close()
-	return w
+	return w, mr
 }
 
 // seedStimuli schedules the initial kick events: several per actor, with

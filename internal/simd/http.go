@@ -2,6 +2,7 @@ package simd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -36,15 +37,26 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
+// maxRequestBytes caps a submission body. A full Spec document is a few
+// kilobytes, so anything near the cap is a mistake or an attack, and is
+// refused before it is read into memory.
+const maxRequestBytes = 1 << 20
+
 // handleSubmit accepts a JobRequest. Unknown fields are rejected so a
 // misspelled knob fails loudly instead of silently running the default —
-// the HTTP twin of the CLI's strict flag validation.
+// the HTTP twin of the CLI's strict flag validation. A body over
+// maxRequestBytes is answered 413.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	var req JobRequest
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("simd: bad request body: %w", err))
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("simd: bad request body: %w", err))
 		return
 	}
 	job, code, err := s.Submit(req)

@@ -323,6 +323,27 @@ func TestDaemonValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedSubmit posts a body over the request cap: the daemon stops
+// reading at the cap, answers 413, and registers no job.
+func TestOversizedSubmit(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	body := `{"scenario":"incast"` + strings.Repeat(" ", maxRequestBytes) + `}`
+	resp, err := http.Post(ts.URL+"/api/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submit: status %d, want 413", resp.StatusCode)
+	}
+	var jobs []Status
+	if code := getJSON(t, ts.URL+"/api/jobs", &jobs); code != http.StatusOK || len(jobs) != 0 {
+		t.Errorf("after an oversized submit: status %d, %d jobs listed, want none", code, len(jobs))
+	}
+}
+
 // TestDaemonCatalog checks /api/catalog serves the registry in sorted
 // order with runnable defaults.
 func TestDaemonCatalog(t *testing.T) {

@@ -40,7 +40,9 @@ func TestProgressDoesNotPerturb(t *testing.T) {
 			if !reflect.DeepEqual(plain, hooked) {
 				t.Errorf("progress hook perturbed Metrics:\nplain  %+v\nhooked %+v", plain, hooked)
 			}
-			if plainStats != hookedStats {
+			// The hook's extra stops end windows early, so only the window
+			// count may differ.
+			if withoutWindows(plainStats) != withoutWindows(hookedStats) {
 				t.Errorf("progress hook perturbed engine stats: plain %+v hooked %+v", plainStats, hookedStats)
 			}
 			if len(events) < progressSlices {

@@ -37,14 +37,27 @@ type RunStats struct {
 	// fabric and endpoints held. Always zero unless a component lost track
 	// of a packet; the golden suite asserts it.
 	PacketsLeaked int64
+	// Windows is the total conservative windows the sharded runner ran
+	// across repeats, 0 when unsharded. It depends on event times, the
+	// partition and the simulated times a run stops at (a progress hook
+	// adds stops), never on whether windows ran in parallel.
+	Windows int64
 }
 
 // RunWithStats is Run plus the engine observables the bench harness
 // reports throughput against.
-func RunWithStats(spec Spec) (m *Metrics, stats RunStats, err error) {
+func RunWithStats(spec Spec) (*Metrics, RunStats, error) {
+	m, stats, _, err := runWithStats(spec)
+	return m, stats, err
+}
+
+// runWithStats is RunWithStats that also returns how many of the windows
+// ran shards on helper goroutines, which depends on the CPU budget at the
+// time and so stays out of RunStats.
+func runWithStats(spec Spec) (m *Metrics, stats RunStats, parallel int64, err error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
-		return nil, RunStats{}, err
+		return nil, RunStats{}, 0, err
 	}
 	name := spec.name
 	if name == "" {
@@ -55,7 +68,7 @@ func RunWithStats(spec Spec) (m *Metrics, stats RunStats, err error) {
 	// promises.
 	defer func() {
 		if p := recover(); p != nil {
-			m, stats, err = nil, RunStats{}, fmt.Errorf("scenario: run failed: %v", p)
+			m, stats, parallel, err = nil, RunStats{}, 0, fmt.Errorf("scenario: run failed: %v", p)
 		}
 	}()
 	seeds := harness.SweepSeeds(spec.Seed, spec.Repeats)
@@ -79,8 +92,10 @@ func RunWithStats(spec Spec) (m *Metrics, stats RunStats, err error) {
 		stats.Events += o.events
 		stats.PacketHops += o.hops
 		stats.PacketsLeaked += o.leaked
+		stats.Windows += o.windows
+		parallel += o.parallel
 	}
-	return merge(spec, outs), stats, nil
+	return merge(spec, outs), stats, parallel, nil
 }
 
 // runOut is one repetition's raw contribution to the Metrics.
@@ -96,6 +111,8 @@ type runOut struct {
 	events    int64 // scheduler events executed
 	hops      int64 // packet wire-traversals
 	leaked    int64 // arena packets still outstanding after Close
+	windows   int64 // sharded-runner windows, 0 when unsharded
+	parallel  int64 // the windows that ran shards on helper goroutines
 }
 
 // runOnce builds the network for one derived seed and drives the workload.
@@ -123,6 +140,10 @@ func runOnce(spec Spec, seed uint64, rep int) *runOut {
 	out.counters = net.Cluster().CollectStats()
 	out.events = int64(net.Runner().Executed())
 	out.hops = net.Cluster().PacketHops()
+	if mr, ok := net.Runner().(*sim.MultiRunner); ok {
+		windows, parallel := mr.Windows()
+		out.windows, out.parallel = int64(windows), int64(parallel)
+	}
 	// Close releases every packet the fabric and endpoints still hold;
 	// whatever the arenas then report outstanding has truly been lost.
 	net.Close()

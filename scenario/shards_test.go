@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -54,6 +56,9 @@ func assertShardInvariant(t *testing.T, spec Spec) {
 			t.Fatal(err)
 		}
 		if shards == 1 {
+			if stats.Windows != 0 {
+				t.Errorf("unsharded run reports %d windows", stats.Windows)
+			}
 			ref, refStats = blob, stats
 			continue
 		}
@@ -61,10 +66,63 @@ func assertShardInvariant(t *testing.T, spec Spec) {
 			t.Errorf("metrics diverge between shards=1 and shards=%d:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
 				shards, ref, shards, blob)
 		}
-		if stats != refStats {
+		if stats.Windows <= 0 {
+			t.Errorf("shards=%d: sharded run reports %d windows", shards, stats.Windows)
+		}
+		if withoutWindows(stats) != refStats {
 			t.Errorf("engine stats diverge between shards=1 and shards=%d: %+v vs %+v",
 				shards, refStats, stats)
 		}
+	}
+}
+
+// withoutWindows drops the one RunStats field that depends on the shard
+// partition (and on where a run stops), leaving the counts every partition
+// must agree on.
+func withoutWindows(s RunStats) RunStats {
+	s.Windows = 0
+	return s
+}
+
+// TestShardDeterminismInlineVsParallel runs one sharded spec with its shards
+// inline (GOMAXPROCS=1 leaves the CPU budget no slot to lend) and in
+// parallel: Metrics and RunStats, Windows included, must agree, because
+// the window sequence depends only on event times. The test is not
+// t.Parallel, so no other job holds the budget, and on a machine with two
+// CPUs it also requires that windows really ran on helper goroutines: the
+// CI race step, which runs every TestShardDeterminism* test, then
+// exercises concurrent shards even where the budget runs the parallel
+// tests' windows inline.
+func TestShardDeterminismInlineVsParallel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	spec := matrixSpecs(t)["permutation"].With(WithShards(2), WithTransport(MPTCP))
+	procs := runtime.GOMAXPROCS(1)
+	serial, serialStats, serialParallel, err := runWithStats(spec)
+	runtime.GOMAXPROCS(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, stats, parallel, err := runWithStats(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, m) {
+		t.Error("Metrics differ between inline and parallel windows")
+	}
+	if stats != serialStats {
+		t.Errorf("engine stats differ between inline and parallel windows: %+v vs %+v", serialStats, stats)
+	}
+	if serialStats.Windows <= 0 {
+		t.Errorf("sharded run reports %d windows", serialStats.Windows)
+	}
+	if serialParallel != 0 {
+		t.Errorf("%d windows ran in parallel at GOMAXPROCS=1", serialParallel)
+	}
+	t.Logf("%d windows, %d of them parallel", stats.Windows, parallel)
+	if min(procs, runtime.NumCPU()) >= 2 && parallel == 0 {
+		t.Errorf("no window of %d ran in parallel with %d CPUs free", stats.Windows, min(procs, runtime.NumCPU()))
 	}
 }
 
