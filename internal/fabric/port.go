@@ -45,16 +45,14 @@ type Port struct {
 	paused bool
 
 	// serializing is the packet currently on the wire; flight holds packets
-	// in propagation toward the peer, in serialization-end order, each with
-	// its due time and emission sequence. Only the head of flight has a
-	// delivery event in the heap: the delivery handler re-arms for the next
-	// entry when it fires, and drains consecutive entries due at the same
-	// instant in one event (burst). Keyed order depends only on (time, ord)
-	// and per-port ords are consecutive, so chaining is bit-identical to
-	// scheduling every delivery up front — while keeping heap residency at
-	// one event per busy port instead of one per in-flight packet.
+	// in propagation toward the peer, in serialization-end order. Each has
+	// its own delivery event, scheduled when its serialization ends at
+	// now+Delay — a recurring delay, so deliveries ride the event list's
+	// propagation-delay lane. One port's deliveries fire in emission
+	// order (their times never decrease and their ords increase), so each
+	// delivery event pops the flight head.
 	serializing *Packet
-	flight      flightRing
+	flight      ring
 	emitSeq     uint64
 
 	// Telemetry.
@@ -145,36 +143,15 @@ func (p *Port) OnEvent(arg uint64) {
 		if p.Cross != nil {
 			p.Cross.AddDelivery(at, sim.DeliveryOrd(p.UID, p.emitSeq), pkt, p.peer)
 		} else {
-			// Only the flight head keeps a heap entry; later entries are
-			// armed by the delivery handler as it pops.
-			arm := p.flight.n == 0
-			p.flight.push(flightEntry{pkt: pkt, due: at, seq: p.emitSeq})
-			if arm {
-				p.el.ScheduleKeyed(at, sim.DeliveryOrd(p.UID, p.emitSeq), p, portDeliver)
-			}
+			p.flight.push(pkt)
+			p.el.ScheduleKeyed(at, sim.DeliveryOrd(p.UID, p.emitSeq), p, portDeliver)
 		}
 		p.kick()
 	case portDeliver:
-		now := p.el.Now()
-		for {
-			e := p.flight.pop()
-			if p.peer != nil {
-				p.peer.Receive(e.pkt)
-			} else {
-				Free(e.pkt)
-			}
-			next, ok := p.flight.peek()
-			if !ok {
-				return
-			}
-			if next.due != now {
-				p.el.ScheduleKeyed(next.due, sim.DeliveryOrd(p.UID, next.seq), p, portDeliver)
-				return
-			}
-			// Burst: the next delivery is due at this same instant with the
-			// consecutive per-port ord — no other event can key between
-			// (UID, seq) and (UID, seq+1) — so popping it here is exactly
-			// the order the heap would have produced.
+		if pkt := p.flight.pop(); p.peer != nil {
+			p.peer.Receive(pkt)
+		} else {
+			Free(pkt)
 		}
 	}
 }
@@ -188,64 +165,14 @@ func (p *Port) ReleasePackets() {
 		p.serializing = nil
 		p.busy = false
 	}
-	for {
-		e, ok := p.flight.peek()
-		if !ok {
-			break
-		}
-		p.flight.pop()
-		Free(e.pkt)
+	for pkt := p.flight.pop(); pkt != nil; pkt = p.flight.pop() {
+		Free(pkt)
 	}
 	if p.Q != nil {
 		for pkt := p.Q.Dequeue(); pkt != nil; pkt = p.Q.Dequeue() {
 			Free(pkt)
 		}
 	}
-}
-
-// flightEntry is one packet in propagation: what to deliver, when it
-// arrives, and the emission sequence that keys its delivery order.
-type flightEntry struct {
-	pkt *Packet
-	due sim.Time
-	seq uint64
-}
-
-// flightRing is a growable power-of-two FIFO of flight entries, the
-// propagation pipeline between serialization end and delivery.
-type flightRing struct {
-	buf        []flightEntry
-	head, tail int
-	n          int
-}
-
-func (r *flightRing) push(e flightEntry) {
-	if r.n == len(r.buf) {
-		size := nextPow2(len(r.buf)*2, 64)
-		nb := make([]flightEntry, size) //simlint:allow hotalloc — power-of-two ring doubling: amortized O(1) per push, the buffer is reused forever
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head, r.tail = nb, 0, r.n
-	}
-	r.buf[r.tail] = e
-	r.tail = (r.tail + 1) & (len(r.buf) - 1)
-	r.n++
-}
-
-func (r *flightRing) pop() flightEntry {
-	e := r.buf[r.head]
-	r.buf[r.head] = flightEntry{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return e
-}
-
-func (r *flightRing) peek() (flightEntry, bool) {
-	if r.n == 0 {
-		return flightEntry{}, false
-	}
-	return r.buf[r.head], true
 }
 
 // Utilization returns the fraction of the interval [0, now] this port spent

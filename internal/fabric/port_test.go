@@ -161,3 +161,50 @@ func TestSwitchSourceRouting(t *testing.T) {
 		t.Errorf("arrival at %v, want %v", sink.LastAt, want)
 	}
 }
+
+// TestPortLongPropagationDelay covers a link whose propagation delay spans
+// many serialization times: back-to-back 64-byte headers at 10 Gb/s (51.2
+// ns each) over a 500 ns link keep about ten packets in flight. Each must
+// arrive at its serialization end plus the delay, in emission order, and
+// once the delay has earned its lane, every pending delivery waits in a
+// lane and none in the heap.
+func TestPortLongPropagationDelay(t *testing.T) {
+	const n = 400
+	const ser, delay = 51200 * sim.Picosecond, 500 * sim.Nanosecond
+	el := sim.NewEventList()
+	sink := NewCountingSink(el)
+	var got []int64
+	sink.OnPacket = func(p *Packet) {
+		if want := sim.Time(len(got)+1)*ser + delay; el.Now() != want {
+			t.Fatalf("packet %d arrived at %v, want %v", p.Seq, el.Now(), want)
+		}
+		got = append(got, p.Seq)
+	}
+	port := NewPort(el, "p", NewFIFOQueue(0), 10e9, delay)
+	port.Connect(sink)
+	for i := 0; i < n; i++ {
+		p := NewControl(Ack, 1, 0, 1)
+		p.Seq = int64(i)
+		port.Enqueue(p)
+	}
+	laned := 0
+	for el.Step() {
+		if len(got) >= n/2 && el.Len() > 0 {
+			if h := el.HeapLen(); h != 0 {
+				t.Fatalf("%d of %d pending events in the heap after %d arrivals, want every one in a lane", h, el.Len(), len(got))
+			}
+			laned++
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("delivered %d packets, want %d", len(got), n)
+	}
+	for i, seq := range got {
+		if seq != int64(i) {
+			t.Fatalf("arrival %d is packet %d, want emission order", i, seq)
+		}
+	}
+	if laned == 0 {
+		t.Fatal("no step checked lane residency")
+	}
+}

@@ -97,8 +97,8 @@ func (prog *Program) lookupIface(path, name string) *types.Interface {
 // registry names the engine's steady-state surfaces:
 //
 //   - event handlers: OnEvent methods on types implementing sim.Handler —
-//     everything the scheduler dispatches, including the port burst drain
-//     (fabric.Port.OnEvent pops consecutive same-instant deliveries);
+//     everything the scheduler dispatches, including the port's
+//     serialization end and delivery (fabric.Port.OnEvent);
 //   - per-packet paths: Receive methods implementing fabric.Sink, and the
 //     Enqueue/Dequeue/Empty of fabric.Queue disciplines;
 //   - the port transmit path: fabric.Port.Enqueue (and through it kick);

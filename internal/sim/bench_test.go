@@ -83,6 +83,67 @@ func BenchmarkEventListLanes(b *testing.B) {
 	}
 }
 
+// thinkHandler is a closed-loop client's think-time command: when one
+// fires it schedules the next, 1–5 ms ahead, so a standing population of
+// far-future keyed commands stays in the heap.
+type thinkHandler struct {
+	el  *EventList
+	r   *Rand
+	seq uint64
+}
+
+func (t *thinkHandler) OnEvent(uid uint64) {
+	t.seq++
+	t.el.ScheduleKeyed(t.el.Now()+Millisecond+Time(t.r.Intn(4000))*Microsecond, CommandOrd(uint32(uid), t.seq), t, uid)
+}
+
+// BenchmarkEventListLanesRPC is BenchmarkEventListLanes shaped like a
+// closed-loop RPC run (216-host 4:1 FatTree): about 1,000 far-future
+// keyed think-time commands stand in the heap, and every step pushes one
+// of 12 recurring delays — header and full-packet serialization, keyed
+// link deliveries, and nine rarer ones — then pops the earliest event.
+// Seven of the delays win lanes; the others lose their delay-table
+// bucket and join the heap. A lane pop should not pay for the heap's
+// depth. Must report 0 allocs/op.
+func BenchmarkEventListLanesRPC(b *testing.B) {
+	const emitters, clients = 1000, 1000
+	el := NewEventList()
+	r := NewRand(1)
+	h := &nopHandler{}
+	think := &thinkHandler{el: el, r: NewRand(2)}
+	for uid := uint64(0); uid < clients; uid++ {
+		think.OnEvent(uid)
+	}
+	var emitted [emitters]uint64
+	push := func() {
+		switch p := r.Intn(100); {
+		case p < 30:
+			el.ScheduleAfter(51200, h, 1)
+		case p < 65:
+			uid := r.Intn(emitters)
+			emitted[uid]++
+			el.ScheduleKeyed(el.Now()+500*Nanosecond, DeliveryOrd(uint32(uid), emitted[uid]), h, 1)
+		case p < 85:
+			el.ScheduleAfter(7200*Nanosecond, h, 1)
+		default:
+			el.ScheduleAfter(Time(3+r.Intn(9))*640*Nanosecond, h, 1)
+		}
+	}
+	for i := 0; i < 900; i++ {
+		push()
+	}
+	for i := 0; i < 100_000; i++ {
+		push()
+		el.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		push()
+		el.Step()
+	}
+}
+
 // BenchmarkTimerReset measures the restartable-timer path (every data
 // packet sent by every transport resets an RTO timer).
 func BenchmarkTimerReset(b *testing.B) {

@@ -1,9 +1,10 @@
 package sim
 
 // EventList is the simulation scheduler: a set of sorted per-delay FIFO
-// lanes merged through a 4-ary indexed min-heap of timestamped event
-// records. All components of a simulation share one EventList; Run drains
-// it in timestamp order, advancing the virtual clock as it goes.
+// lanes, picked among by a tournament tree, beside a 4-ary indexed
+// min-heap of timestamped event records. All components of a simulation
+// share one EventList; Run drains it in timestamp order, advancing the
+// virtual clock as it goes.
 //
 // Events with equal timestamps fire in the order they were scheduled
 // (FIFO tie-break via a sequence counter), which keeps simulations
@@ -32,14 +33,15 @@ package sim
 // pushed at now+d go into d's FIFO ring instead of the heap. The clock
 // never runs backwards, so appends keep each ring sorted by (time, ord);
 // only a same-instant keyed tie walks back a few records from the tail.
-// Each non-empty lane keeps exactly one entry — its head — in the heap,
-// tracked through a permanent slot like a cancellable event, so popping a
-// lane event overwrites the heap root with the lane's next head and sifts
-// it down, and the heap stays as small as the number of lanes plus the
-// timers and stray delays. Every container is (time, ord)-sorted, so the
-// firing order is exactly the single-heap order whichever container an
-// event sits in. Cancellable events, delays that do not recur and pushes
-// made while every lane is taken stay on the plain heap path.
+// The lanes stay out of the heap altogether: a fixed 16-leaf tournament
+// over their head keys names the earliest lane, and every step compares
+// that winner with the heap root. Popping a lane event replays the four
+// matches on its lane's path, however deep the heap, and the heap holds
+// only the timers, think-time commands and stray delays. Every container
+// is (time, ord)-sorted, so the firing order is exactly the single-heap
+// order whichever container an event sits in. Cancellable events, delays
+// that do not recur and pushes made while every lane is taken stay on the
+// plain heap path.
 //
 // Layout notes, because this is the innermost loop of every simulation:
 // the heap is split into parallel key/value arrays so that sift comparisons
@@ -61,8 +63,13 @@ type EventList struct {
 	// lanes[:nlanes] are the delay lanes opened so far, spare[:nspare]
 	// those whose delay lost its bucket (1-based, like delayBucket.lane);
 	// delays maps a push delay to its lane, or counts its sightings until
-	// it earns one.
+	// it earns one. heads caches each lane's head key (laneEmpty while it
+	// is empty) and win[1:] is the tournament over them: win[n] is the
+	// lane with the earliest head under node n, whose children are 2n and
+	// 2n+1, and node maxLanes+i is lane i's leaf.
 	lanes  [maxLanes]lane
+	heads  [maxLanes]eventKey
+	win    [maxLanes]uint8
 	nlanes int
 	spare  [maxLanes]int16
 	nspare int
@@ -161,12 +168,11 @@ func PFCOrd(uid uint32, seq uint64) uint64 {
 }
 
 // eventVal is the heap payload: what to call and, for cancellable events,
-// which slot tracks the record's position. A nil h marks a lane's head
-// marker instead, whose arg is the lane index (see lane).
+// which slot tracks the record's position.
 type eventVal struct {
 	arg uint64
 	h   Handler
-	id  int32 // slot index for cancellable events and lane markers, -1 otherwise
+	id  int32 // slot index for cancellable events, -1 otherwise
 }
 
 // funcEvent adapts the closure fallback path onto Handler. A func value is
@@ -186,12 +192,15 @@ func (el *EventList) Now() Time { return el.now }
 func (el *EventList) Len() int {
 	n := len(el.keys)
 	for i := range el.lanes[:el.nlanes] {
-		if ln := &el.lanes[i]; ln.n > 0 {
-			n += ln.n - 1 // the lane head is already counted in the heap
-		}
+		n += el.lanes[i].n
 	}
 	return n
 }
+
+// HeapLen returns how many pending events wait in the heap rather than in
+// a delay lane: the timers, commands and stray delays. Len minus HeapLen
+// is the lane-resident count.
+func (el *EventList) HeapLen() int { return len(el.keys) }
 
 // Executed returns how many events have fired since creation — the
 // event-throughput numerator of the bench harness.
@@ -292,23 +301,11 @@ func (el *EventList) live(id EventID) bool {
 // Step runs the earliest pending event and returns true, or returns false if
 // the list is empty.
 func (el *EventList) Step() bool {
-	if len(el.keys) == 0 {
-		return false
+	at, w, ok := el.next()
+	if ok {
+		el.fire(at, w)
 	}
-	at := el.keys[0].at
-	v := el.vals[0]
-	if v.h == nil {
-		v = el.popLane(&el.lanes[v.arg&(maxLanes-1)])
-	} else {
-		el.popMin()
-		if v.id >= 0 {
-			el.freeSlot(EventID(v.id))
-		}
-	}
-	el.now = at
-	el.executed++
-	v.h.OnEvent(v.arg)
-	return true
+	return ok
 }
 
 // Run drains the event list until it is empty.
@@ -320,8 +317,8 @@ func (el *EventList) Run() {
 // RunUntil processes events with timestamps <= deadline, then sets the clock
 // to the deadline. Events scheduled beyond the deadline remain pending.
 func (el *EventList) RunUntil(deadline Time) {
-	for len(el.keys) > 0 && el.keys[0].at <= deadline {
-		el.Step()
+	for at, w, ok := el.next(); ok && at <= deadline; at, w, ok = el.next() {
+		el.fire(at, w)
 	}
 	if el.now < deadline {
 		el.now = deadline
@@ -333,8 +330,8 @@ func (el *EventList) RunUntil(deadline Time) {
 // which must not advance an idle shard's clock past events another shard
 // may still inject at the window boundary.
 func (el *EventList) RunBefore(limit Time) {
-	for len(el.keys) > 0 && el.keys[0].at < limit {
-		el.Step()
+	for at, w, ok := el.next(); ok && at < limit; at, w, ok = el.next() {
+		el.fire(at, w)
 	}
 }
 
@@ -342,7 +339,7 @@ func (el *EventList) RunBefore(limit Time) {
 // events earlier than t make this a programming error, so it panics rather
 // than silently running time backwards through them.
 func (el *EventList) AdvanceTo(t Time) {
-	if len(el.keys) > 0 && el.keys[0].at < t {
+	if at, _, ok := el.next(); ok && at < t {
 		panic("sim: AdvanceTo past a pending event")
 	}
 	if el.now < t {
@@ -353,10 +350,42 @@ func (el *EventList) AdvanceTo(t Time) {
 // NextAt returns the timestamp of the earliest pending event, or Infinity if
 // none is pending.
 func (el *EventList) NextAt() Time {
-	if len(el.keys) == 0 {
-		return Infinity
+	at, _, _ := el.next()
+	return at
+}
+
+// next finds the earliest pending event: the tournament's winning lane head
+// (w is its lane) or the heap root (w is -1). ok is false, and at Infinity,
+// when nothing is pending. Lane heads never tie the heap root, because no
+// two pending events share a (time, ord) key.
+func (el *EventList) next() (at Time, w int, ok bool) {
+	w = int(el.win[1])
+	if el.lanes[w].n > 0 && (len(el.keys) == 0 || el.heads[w].less(&el.keys[0])) {
+		return el.heads[w].at, w, true
 	}
-	return el.keys[0].at
+	if len(el.keys) > 0 {
+		return el.keys[0].at, -1, true
+	}
+	return Infinity, -1, false
+}
+
+// fire pops the event next found at time at and runs it.
+func (el *EventList) fire(at Time, w int) {
+	var h Handler
+	var arg uint64
+	if w >= 0 {
+		h, arg = el.popLane(w)
+	} else {
+		v := el.vals[0]
+		el.popMin()
+		if v.id >= 0 {
+			el.freeSlot(EventID(v.id))
+		}
+		h, arg = v.h, v.arg
+	}
+	el.now = at
+	el.executed++
+	h.OnEvent(arg)
 }
 
 // push clamps, stamps the FIFO sequence number, and sifts the record in.
@@ -369,9 +398,6 @@ func (el *EventList) push(at Time, v eventVal) {
 // its delay's lane when it has one (or has just earned one), else into the
 // heap.
 func (el *EventList) pushKeyed(at Time, ord uint64, v eventVal) {
-	if v.h == nil {
-		panic("sim: nil Handler") // a nil h marks a lane's head in the heap
-	}
 	if at < el.now {
 		at = el.now
 	}
@@ -382,12 +408,8 @@ func (el *EventList) pushKeyed(at Time, ord uint64, v eventVal) {
 			el.vote(i, uint32(d))
 		}
 		if b := &el.delays[i]; el.laned>>i&1 != 0 && b.delay == uint32(d) {
-			li := int(b.lane - 1)
-			if !el.lanePush(li, k, v) {
-				return
-			}
-			// The lane was empty: its head marker goes into the heap.
-			v = eventVal{arg: uint64(li), id: el.lanes[li].slot}
+			el.lanePush(int(b.lane-1), k, v)
+			return
 		}
 	}
 	el.keys = append(el.keys, k) //simlint:allow hotalloc — heap storage (keys and vals grow in lockstep): amortized doubling, capacity bounded by peak pending events and reused across pops

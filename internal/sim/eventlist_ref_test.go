@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// This file checks the scheduler — delay lanes merged through the indexed
-// heap — against a naive reference model: a flat slice popped by linear
+// This file checks the scheduler — delay lanes and their tournament beside
+// the indexed heap — against a naive reference model: a flat slice popped by linear
 // minimum scan over (time, ord). The model is obviously correct; the
 // scheduler must match it operation for operation, including
 // equal-timestamp FIFO ties, keyed same-instant ties in arbitrary order,

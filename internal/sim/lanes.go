@@ -1,13 +1,14 @@
 package sim
 
-// Delay lanes: the sorted per-delay FIFOs the EventList merges through its
-// heap (see the EventList comment). The constants are fixed sizing, not
-// tuning knobs — lanes only change where an event waits, never when it
-// fires.
+// Delay lanes: the sorted per-delay FIFOs the EventList picks among with a
+// tournament tree beside its heap (see the EventList comment). The
+// constants are fixed sizing, not tuning knobs — lanes only change where
+// an event waits, never when it fires.
 const (
 	// maxLanes caps the lanes of one list. A packet simulation has a few
 	// recurring delays per link speed and packet size class; the heap
-	// takes whatever recurs beyond the cap.
+	// takes whatever recurs beyond the cap. A power of two, so the lanes
+	// are the leaves of a complete tournament tree.
 	maxLanes = 16
 	// delayTableBits sizes the direct-mapped delay table (32 buckets of
 	// 8 bytes) that maps a push delay to its lane or counts it as a
@@ -35,20 +36,23 @@ const (
 )
 
 // lane is one delay's FIFO ring, sorted by (at, ord) from head to tail.
-// While non-empty its head key sits in the heap under a marker record
-// {h: nil, arg: lane index, id: slot}, positioned through the permanent
-// slot like any cancellable event.
 type lane struct {
 	ring []laneEvent // power-of-two length
 	head int         // ring index of the earliest record
 	n    int         // records queued
-	slot int32       // permanent EventID tracking the marker's heap index
 }
 
+// laneEvent is a lane record: lanes hold no cancellable events, so it
+// carries no slot.
 type laneEvent struct {
-	k eventKey
-	v eventVal
+	k   eventKey
+	arg uint64
+	h   Handler
 }
+
+// laneEmpty is an empty lane's head key in the tournament: it loses to
+// every pending event.
+var laneEmpty = eventKey{at: Infinity, ord: 1<<64 - 1}
 
 // delayBucket is one entry of the delay table: a delay, its lead in the
 // bucket's majority vote (capped at lanePromote), and its lane index + 1
@@ -107,19 +111,26 @@ func (el *EventList) openLane() int16 {
 	if el.nlanes == maxLanes {
 		return 0
 	}
-	el.lanes[el.nlanes].slot = int32(el.allocSlot())
+	if el.nlanes == 0 {
+		// The first lane readies the tournament: every head empty, and
+		// every match replayed so that each node names a lane under it.
+		for i := range el.heads {
+			el.heads[i] = laneEmpty
+		}
+		for i := range el.heads {
+			el.replay(i)
+		}
+	}
 	el.nlanes++
 	return int16(el.nlanes)
 }
 
-// lanePush files a record into lane li and reports whether the lane was
-// empty, in which case the caller inserts the lane's head marker into the
-// heap under k. The ring is sorted and k is never earlier than the tail's
-// time (both are now+d with a monotone now), so k is appended, except that
-// each tail record of the same instant with a larger ord (a keyed tie)
-// moves back one slot to make room. When k becomes the head of a
-// non-empty lane, the marker is re-keyed and sifted up.
-func (el *EventList) lanePush(li int, k eventKey, v eventVal) (first bool) {
+// lanePush files a record into lane li. The ring is sorted and k is never
+// earlier than the tail's time (both are now+d with a monotone now), so k
+// is appended, except that each tail record of the same instant with a
+// larger ord (a keyed tie) moves back one slot to make room. When k
+// becomes the lane's head, the lane's matches are replayed.
+func (el *EventList) lanePush(li int, k eventKey, v eventVal) {
 	ln := &el.lanes[li]
 	if ln.n == len(ln.ring) {
 		ln.grow()
@@ -134,36 +145,47 @@ func (el *EventList) lanePush(li int, k eventKey, v eventVal) (first bool) {
 		ring[j&mask] = *p
 		j--
 	}
-	e := &ring[j&mask]
-	e.k, e.v = k, v
+	ring[j&mask] = laneEvent{k: k, arg: v.arg, h: v.h}
 	ln.n++
-	if ln.n == 1 {
-		return true
-	}
 	if j == ln.head {
-		i := int(el.slots[ln.slot])
-		el.keys[i] = k
-		el.up(i)
+		el.heads[li] = k
+		el.replay(li)
 	}
-	return false
 }
 
-// popLane takes the head record of ln, whose marker is the heap root: the
-// root is re-keyed to the lane's next head and sifted down, or deleted
-// when the lane empties.
-func (el *EventList) popLane(ln *lane) eventVal {
+// popLane takes the head record of lane li, the tournament's winner, and
+// replays the lane's matches under its next head key.
+func (el *EventList) popLane(li int) (Handler, uint64) {
+	ln := &el.lanes[li]
 	r := &ln.ring[ln.head]
-	v := r.v
-	r.v = eventVal{}
+	h, arg := r.h, r.arg
+	r.h = nil
 	ln.head = (ln.head + 1) & (len(ln.ring) - 1)
 	ln.n--
 	if ln.n == 0 {
-		el.popMin()
-		return v
+		el.heads[li] = laneEmpty
+	} else {
+		el.heads[li] = ln.ring[ln.head].k
 	}
-	el.keys[0] = ln.ring[ln.head].k
-	el.down(0)
-	return v
+	el.replay(li)
+	return h, arg
+}
+
+// replay re-runs the four matches from lane li's leaf to the root after
+// its head key changed: at each node the path's winner meets the winner
+// of the sibling subtree, and a tie keeps the path's lane.
+func (el *EventList) replay(li int) {
+	w, s := li, li^1
+	for n := (maxLanes + li) >> 1; ; n >>= 1 {
+		if el.heads[s].less(&el.heads[w]) {
+			w = s
+		}
+		el.win[n] = uint8(w)
+		if n == 1 {
+			return
+		}
+		s = int(el.win[n^1])
+	}
 }
 
 // grow doubles the ring (or allocates the first one), unwrapping it so the

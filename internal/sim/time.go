@@ -1,8 +1,9 @@
 // Package sim provides the discrete-event simulation engine that underpins
 // the NDP reproduction: a picosecond-resolution virtual clock, an event
-// list of sorted per-delay FIFO lanes merged through an indexed 4-ary heap,
-// with allocation-free typed events, a deterministic pseudo-random number
-// generator, and a conservative parallel runner.
+// list of sorted per-delay FIFO lanes, picked among by a tournament tree,
+// beside an indexed 4-ary heap, with allocation-free typed events, a
+// deterministic pseudo-random number generator, and a conservative
+// parallel runner.
 //
 // Each event list is strictly single-threaded: datacenter packet
 // simulations are dominated by tiny events (a packet finishing

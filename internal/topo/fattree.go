@@ -279,23 +279,28 @@ func (ft *FatTree) Paths(src, dst int32) [][]int16 {
 	if src == dst {
 		return nil
 	}
-	// The cache is per source-host shard: enumeration happens mid-run
-	// (control-packet routing), and shards must never share a mutable map.
-	cache := ft.pathCache[ft.hostShard[src]]
-	key := pairKey{src, dst}
-	if p, ok := cache[key]; ok {
-		return p
-	}
-	spod, stor, _ := ft.locate(src)
-	dpod, dtor, doff := ft.locate(dst)
 	half := ft.K / 2
+	class := 2
+	if stor, dtor := src/int32(ft.HostsPerTor), dst/int32(ft.HostsPerTor); stor == dtor {
+		class = 0
+	} else if stor/int32(half) == dtor/int32(half) {
+		class = 1
+	}
+	// The cache is per source-host shard: enumeration happens mid-run
+	// (control-packet routing), and shards must never share a mutable
+	// table.
+	cached := ft.cachedRoutes(src, dst, class)
+	if *cached != nil {
+		return *cached
+	}
+	dpod, dtor, doff := ft.locate(dst)
 	slab := &ft.pathSlab[ft.hostShard[src]]
 	var paths [][]int16
-	switch {
-	case spod == dpod && stor == dtor:
+	switch class {
+	case 0:
 		paths = slab.alloc(1, 1)
 		paths[0][0] = int16(doff)
-	case spod == dpod:
+	case 1:
 		paths = slab.alloc(half, 3)
 		for a := 0; a < half; a++ {
 			p := paths[a]
@@ -316,7 +321,7 @@ func (ft *FatTree) Paths(src, dst int32) [][]int16 {
 			}
 		}
 	}
-	cache[key] = paths
+	*cached = paths
 	return paths
 }
 

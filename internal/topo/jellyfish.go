@@ -32,7 +32,13 @@ type Jellyfish struct {
 	// it per packet from every shard, so a lazily-filled cache would be a
 	// cross-shard data race.
 	dists [][]int
+	// pathCache holds each enumerated (src, dst) route set. Unlike FatTree
+	// and TwoTier routes, these depend on the source switch, so they are
+	// keyed by pair. Per source-host shard, like Network.routes.
+	pathCache []map[pairKey][][]int16
 }
+
+type pairKey struct{ src, dst int32 }
 
 // NewJellyfish builds a connected random regular topology. n*degree must be
 // even; degree >= 2. maxPaths bounds the per-pair path enumeration
@@ -57,6 +63,10 @@ func NewJellyfish(n, hostsPerSwitch, degree, maxPaths int, cfg Config) *Jellyfis
 		shards = n // at most one shard per switch
 	}
 	j.initShards(cfg, shards)
+	j.pathCache = make([]map[pairKey][][]int16, j.Shards())
+	for i := range j.pathCache {
+		j.pathCache[i] = make(map[pairKey][][]int16)
+	}
 
 	j.adj = randomRegularGraph(n, degree, j.Rand)
 	j.swShard = greedyEdgeCutParts(j.adj, j.Shards())

@@ -145,22 +145,38 @@ type Network struct {
 	swRand     []*sim.Rand // per-switch ECMP stream, index = switch ID
 	portUID    uint32
 	cmdSeq     []uint64 // per-host command emission counters (Defer ord)
-	// pathCache is per source-host shard so concurrent shards never share
-	// a map; the cached route slices themselves are identical read-only
-	// values in every shard.
-	pathCache []map[pairKey][][]int16
+	// routes[shard][dst*routeClasses+class] caches FatTree and TwoTier
+	// source routes (see cachedRoutes). It is per source-host shard so
+	// concurrent shards never share a mutable table; the cached route
+	// slices themselves are identical read-only values in every shard.
+	routes [][][][]int16
 	// pathSlab backs the cached routes: hop arrays and route headers are
 	// carved from large shared chunks, so a cold cache entry costs
-	// amortized-zero allocations instead of one per route (or per pair).
-	// Sharded like pathCache — a slab is only ever appended to by its own
-	// shard.
+	// amortized-zero allocations instead of one per route. Sharded like
+	// routes — a slab is only ever appended to by its own shard.
 	pathSlab []pathSlab
 }
 
-type pairKey struct{ src, dst int32 }
+// routeClasses counts the route classes of a FatTree or TwoTier source
+// relative to its destination: it shares the destination's ToR (0), only
+// its pod (1, FatTree only), or neither (2).
+const routeClasses = 3
+
+// cachedRoutes returns src's shard's cache entry for the routes toward dst
+// of the given class, nil until first filled. FatTree and TwoTier routes
+// depend only on the destination and the class, so the entry is indexed
+// by them directly: no per-pair hashing, and one enumeration serves every
+// source of a class.
+func (n *Network) cachedRoutes(src, dst int32, class int) *[][]int16 {
+	s := n.hostShard[src]
+	if n.routes[s] == nil {
+		n.routes[s] = make([][][]int16, routeClasses*len(n.Hosts))
+	}
+	return &n.routes[s][int(dst)*routeClasses+class]
+}
 
 // pathSlab carves route storage out of chunked arrays. Entries are written
-// once when a (src,dst) pair is first enumerated and are immutable after
+// once when a route set is first enumerated and are immutable after
 // publication in the path cache; a chunk's unused tail is abandoned (not
 // reused) when a request does not fit, so published slices never alias new
 // ones.
@@ -299,10 +315,7 @@ func (n *Network) initShards(cfg Config, shards int) {
 	}
 	n.EL = n.els[0]
 	n.Rand = sim.NewRand(cfg.Seed ^ 0x9e3779b97f4a7c15)
-	n.pathCache = make([]map[pairKey][][]int16, shards)
-	for i := range n.pathCache {
-		n.pathCache[i] = make(map[pairKey][][]int16)
-	}
+	n.routes = make([][][][]int16, shards)
 	n.pathSlab = make([]pathSlab, shards)
 	n.lookahead = sim.Infinity
 	if shards > 1 {

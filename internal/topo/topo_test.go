@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -204,5 +205,90 @@ func TestPathCacheSharing(t *testing.T) {
 	b := ft.Paths(0, 5)
 	if &a[0] != &b[0] {
 		t.Error("paths should be cached and shared")
+	}
+}
+
+// TestRoutesIndexedByDestination pins the destination-indexed route cache
+// of FatTree and TwoTier: every pair gets the routes a direct enumeration
+// gives, and two sources in one shard that relate to the destination the
+// same way (same ToR, same pod only, or neither) share one cached set.
+func TestRoutesIndexedByDestination(t *testing.T) {
+	check := func(name string, n int, paths func(src, dst int32) [][]int16, shard func(int32) int,
+		class func(src, dst int32) int, want func(src, dst int32) [][]int16) {
+		t.Helper()
+		first := map[[3]int][][]int16{} // (shard, dst, class) -> first route set seen
+		for src := int32(0); src < int32(n); src++ {
+			for dst := int32(0); dst < int32(n); dst++ {
+				got := paths(src, dst)
+				if src == dst {
+					if got != nil {
+						t.Fatalf("%s: Paths(%d, %d) = %v, want nil", name, src, dst, got)
+					}
+					continue
+				}
+				if w := want(src, dst); fmt.Sprint(got) != fmt.Sprint(w) {
+					t.Fatalf("%s: Paths(%d, %d) = %v, want %v", name, src, dst, got, w)
+				}
+				key := [3]int{shard(src), int(dst), class(src, dst)}
+				if prev, ok := first[key]; !ok {
+					first[key] = got
+				} else if &prev[0] != &got[0] {
+					t.Fatalf("%s: Paths(%d, %d) is not the cached set of its destination and class", name, src, dst)
+				}
+			}
+		}
+	}
+
+	for _, shards := range []int{1, 2} {
+		ft := NewFatTreeOversub(4, 2, Config{Shards: shards})
+		half, hpt := 2, ft.HostsPerTor
+		ftClass := func(src, dst int32) int {
+			spod, stor, _ := ft.locate(src)
+			dpod, dtor, _ := ft.locate(dst)
+			switch {
+			case spod == dpod && stor == dtor:
+				return 0
+			case spod == dpod:
+				return 1
+			}
+			return 2
+		}
+		check(fmt.Sprintf("fattree/%d shards", shards), ft.NumHosts(), ft.Paths,
+			func(h int32) int { return ft.hostShard[h] }, ftClass,
+			func(src, dst int32) [][]int16 {
+				dpod, dtor, doff := ft.locate(dst)
+				var w [][]int16
+				switch ftClass(src, dst) {
+				case 0:
+					w = append(w, []int16{int16(doff)})
+				case 1:
+					for a := 0; a < half; a++ {
+						w = append(w, []int16{int16(hpt + a), int16(dtor), int16(doff)})
+					}
+				default:
+					for a := 0; a < half; a++ {
+						for j := 0; j < half; j++ {
+							w = append(w, []int16{int16(hpt + a), int16(half + j), int16(dpod), int16(dtor), int16(doff)})
+						}
+					}
+				}
+				return w
+			})
+
+		tt := NewTwoTier(4, 3, 2, Config{Shards: shards})
+		ttClass := func(src, dst int32) int {
+			if src/3 == dst/3 {
+				return 0
+			}
+			return 2
+		}
+		check(fmt.Sprintf("twotier/%d shards", shards), tt.NumHosts(), tt.Paths,
+			func(h int32) int { return tt.hostShard[h] }, ttClass,
+			func(src, dst int32) [][]int16 {
+				if ttClass(src, dst) == 0 {
+					return [][]int16{{int16(dst % 3)}}
+				}
+				return [][]int16{{3, int16(dst / 3), int16(dst % 3)}, {4, int16(dst / 3), int16(dst % 3)}}
+			})
 	}
 }

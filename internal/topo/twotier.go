@@ -165,13 +165,16 @@ func (tt *TwoTier) Paths(src, dst int32) [][]int16 {
 	if src == dst {
 		return nil
 	}
-	cache := tt.pathCache[tt.hostShard[src]]
-	key := pairKey{src, dst}
-	if p, ok := cache[key]; ok {
-		return p
-	}
 	stor, _ := tt.locate(src)
 	dtor, doff := tt.locate(dst)
+	class := 2
+	if stor == dtor {
+		class = 0
+	}
+	cached := tt.cachedRoutes(src, dst, class)
+	if *cached != nil {
+		return *cached
+	}
 	slab := &tt.pathSlab[tt.hostShard[src]]
 	var paths [][]int16
 	if stor == dtor {
@@ -186,7 +189,7 @@ func (tt *TwoTier) Paths(src, dst int32) [][]int16 {
 			p[2] = int16(doff)
 		}
 	}
-	cache[key] = paths
+	*cached = paths
 	return paths
 }
 
