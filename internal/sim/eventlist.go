@@ -356,8 +356,9 @@ func (el *EventList) NextAt() Time {
 
 // next finds the earliest pending event: the tournament's winning lane head
 // (w is its lane) or the heap root (w is -1). ok is false, and at Infinity,
-// when nothing is pending. Lane heads never tie the heap root, because no
-// two pending events share a (time, ord) key.
+// when nothing is pending. The ord scheme gives no two pending events one
+// (time, ord) key; were a lane head to tie the heap root, the root fires
+// first.
 func (el *EventList) next() (at Time, w int, ok bool) {
 	w = int(el.win[1])
 	if el.lanes[w].n > 0 && (len(el.keys) == 0 || el.heads[w].less(&el.keys[0])) {
